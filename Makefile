@@ -7,7 +7,7 @@ DUNE ?= dune
 .PHONY: all build test fmt check bench bench-check bench-all \
         faultsim faultsim-queues faultsim-ready-queue faultsim-kpipe \
         faultsim-disk faultsim-codeflip faultsim-synthcache \
-        faultsim-smp faultsim-serve faultsim-crash clean
+        faultsim-smp faultsim-serve faultsim-crash perfbench-smoke clean
 
 all: build
 
@@ -40,6 +40,21 @@ bench-check:
 # The full suite (queues, ablations, sizes, bechamel, ...).
 bench-all:
 	$(DUNE) exec bench/main.exe -- all
+
+# The repository benchmark (perfbench/), one short untraced run per
+# workload.  Fails unless each run's result line (the last line of its
+# output) reports correct outputs and no failed operations.
+PERFBENCH_WORKLOADS = pipe serve-1c overload-4c
+PERFBENCH_CHECK = import json, sys; \
+  r = json.loads(sys.stdin.read().splitlines()[-1]); \
+  print(sys.argv[1], 'correct:', r['correct'], 'failed:', r['failed']); \
+  sys.exit(0 if r['correct'] is True and r['failed'] == 0 else 1)
+
+perfbench-smoke:
+	@for w in $(PERFBENCH_WORKLOADS); do \
+	  python3 perfbench/run.py --workload $$w --seed 101 --seconds 1 --trace 0 \
+	    | python3 -c "$(PERFBENCH_CHECK)" $$w || exit 1; \
+	done
 
 # kfault: deterministic seed-swept fault-injection sweeps — forced
 # preemption + injected faults over each explorer subject, plus the

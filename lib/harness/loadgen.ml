@@ -160,6 +160,7 @@ type t = {
   lg_by_conn : (int, session) Hashtbl.t;  (* awaiting the open response *)
   lg_by_slot : (int, session) Hashtbl.t;
   mutable lg_free_conns : int list;
+  mutable lg_waiting : int;  (* arrivals parked on the empty conn-id pool *)
   lg_latency : Histogram.t;  (* request round trips, cycles *)
   mutable lg_dev : Machine.device option;
   mutable lg_arrivals_left : int;
@@ -195,13 +196,20 @@ let inject t w =
 let think_gap t =
   us_cycles t (rng_exp t.lg_rng ~mean:t.lg_cfg.lg_think_us)
 
-(* a session finished (or was refused): recycle its conn id and fire
-   the completion callback after the last one *)
+(* a session finished (or was refused): recycle its conn id, wake one
+   parked arrival, and fire the completion callback after the last
+   one.  The woken arrival starts from the next tick, never from here:
+   [finish] runs inside the NIC's tx sink. *)
 let finish t ss phase =
   ss.ss_phase <- phase;
   if ss.ss_slot >= 0 then Hashtbl.remove t.lg_by_slot ss.ss_slot;
   Hashtbl.remove t.lg_by_conn ss.ss_conn;
   t.lg_free_conns <- ss.ss_conn :: t.lg_free_conns;
+  if t.lg_waiting > 0 then begin
+    t.lg_waiting <- t.lg_waiting - 1;
+    heap_push t.lg_heap (now t + 1) Arrive;
+    reschedule t
+  end;
   (match phase with
   | Refused -> t.lg_refused <- t.lg_refused + 1
   | Abandoned -> t.lg_abandoned <- t.lg_abandoned + 1
@@ -258,8 +266,8 @@ let send_next t ss =
 let start_session t =
   match t.lg_free_conns with
   | [] ->
-    (* conn-id pool exhausted: back off and retry *)
-    heap_push t.lg_heap (now t + us_cycles t t.lg_cfg.lg_think_us) Arrive
+    (* conn-id pool exhausted: park until [finish] frees an id *)
+    t.lg_waiting <- t.lg_waiting + 1
   | conn :: rest ->
     t.lg_free_conns <- rest;
     t.lg_arrivals_left <- t.lg_arrivals_left - 1;
@@ -385,6 +393,7 @@ let create ?(config = default_config) ?on_complete srv =
       lg_by_slot = Hashtbl.create 256;
       lg_free_conns =
         List.init (min config.lg_conn_ids Kserve.max_conn_id) (fun i -> i + 1);
+      lg_waiting = 0;
       lg_latency = Histogram.create ();
       lg_dev = None;
       lg_arrivals_left = config.lg_clients;

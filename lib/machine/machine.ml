@@ -533,13 +533,16 @@ let pending_level c =
 
 (* Devices fire against the global clock (the minimum over runnable
    cores), so a tick never runs before every core has reached it —
-   conservative discrete-event order. *)
+   conservative discrete-event order.  Ticks are one-shot: the device
+   is idle while its tick runs, and stays idle unless the tick
+   schedules it again. *)
 let run_due_devices t =
   if t.cycles >= t.next_device_due then begin
     List.iter
       (fun d ->
         if t.cycles >= d.next_due then begin
           (match t.hooks with Some h -> h.h_device d.dev_name | None -> ());
+          d.next_due <- max_int;
           d.dev_tick t
         end)
       t.devices;

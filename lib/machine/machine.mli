@@ -45,7 +45,12 @@ type hooks = {
   h_fault : fault -> unit;  (** a CPU fault was raised *)
 }
 
-(** A device: [dev_tick] runs when simulated time reaches [next_due]. *)
+(** A device: [dev_tick] runs when the global clock (the minimum over
+    runnable cores) reaches [next_due].  Ticks are one-shot: the
+    machine sets [next_due] to [max_int] just before it calls
+    [dev_tick], so a tick that wants another one must call
+    {!device_schedule} itself; a tick that does not leaves the device
+    idle. *)
 type device = {
   dev_name : string;
   mutable next_due : int;

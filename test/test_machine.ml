@@ -320,6 +320,76 @@ let test_tty_output_collects () =
   Devices.Tty.clear_output tty;
   Alcotest.(check string) "cleared" "" (Devices.Tty.output tty)
 
+(* A counted spin: [n] Dbra turns, then Halt. *)
+let spin n =
+  [ I.Move (I.Imm n, I.Reg I.r0); I.Label "spin"; I.Dbra (I.r0, I.To_label "spin"); I.Halt ]
+
+(* Device ticks are one-shot: a tick that does not re-arm leaves its
+   device idle, so it runs exactly once. *)
+let test_device_tick_one_shot () =
+  let m = machine () in
+  let ticks = ref 0 in
+  let d = Machine.add_device m ~name:"once" ~due:100 ~tick:(fun _ -> incr ticks) in
+  let entry, _ = Asm.assemble m (spin 2000) in
+  Machine.set_pc m entry;
+  ignore (Machine.run ~max_insns:100_000 m);
+  check_bool "ran past the due" true (Machine.cycles m > 1000);
+  check_int "ticked exactly once" 1 !ticks;
+  check_int "left idle" max_int d.Machine.next_due
+
+(* A tick that re-arms runs again when its new due comes round — not
+   before, and no later than the instruction that crosses it. *)
+let test_device_tick_rearms () =
+  let m = machine () in
+  let log = ref [] in
+  let due = ref 100 in
+  let dev = ref None in
+  let tick m' =
+    log := (!due, Machine.cycles m') :: !log;
+    due := !due + 500;
+    match !dev with
+    | Some d when List.length !log < 3 -> Machine.device_schedule m' d !due
+    | _ -> ()
+  in
+  dev := Some (Machine.add_device m ~name:"rearm" ~due:100 ~tick);
+  let entry, _ = Asm.assemble m (spin 2000) in
+  Machine.set_pc m entry;
+  ignore (Machine.run ~max_insns:100_000 m);
+  check_int "three ticks" 3 (List.length !log);
+  List.iter
+    (fun (due, at) ->
+      check_bool (Printf.sprintf "due %d ticked at %d" due at) true
+        (at >= due && at < due + 32))
+    !log
+
+(* On several cores a device fires against the global clock: while
+   one core is far past the due, the tick still waits for the
+   slowest runnable core to reach it. *)
+let test_device_tick_global_clock () =
+  let m = Machine.create ~mem_words:(1 lsl 16) ~cores:2 Cost.sun3_emulation in
+  let due = 5_000 in
+  let seen = ref [] in
+  ignore
+    (Machine.add_device m ~name:"global" ~due ~tick:(fun m' ->
+         seen := (Machine.core_cycles m' 0, Machine.core_cycles m' 1) :: !seen));
+  let main, _ = Asm.assemble m (spin 4000) in
+  let other, _ = Asm.assemble m [ I.Label "forever"; I.Jmp (I.To_label "forever") ] in
+  Machine.set_active_core m 1;
+  Machine.set_pc m other;
+  Machine.set_reg m I.sp 0x7000;
+  Machine.start_core m 1;
+  Machine.set_active_core m 0;
+  Machine.set_pc m main;
+  Machine.set_reg m I.sp 0x8000;
+  Machine.stall_core m ~cpu:1 ~cycles:(4 * due);
+  ignore (Machine.run ~max_insns:100_000 m);
+  match !seen with
+  | [ (c0, c1) ] ->
+    check_bool "core 1 was already past the due" true (c1 > 2 * due);
+    check_bool (Printf.sprintf "core 0 reached the due (%d)" c0) true
+      (c0 >= due && c0 < due + 32)
+  | l -> Alcotest.failf "expected one tick, got %d" (List.length l)
+
 let test_trace_ring_wraps () =
   let m = machine () in
   let tr = Monitor.trace_start m in
@@ -538,6 +608,10 @@ let () =
           Alcotest.test_case "timer cancel/remaining" `Quick
             test_timer_cancel_and_remaining;
           Alcotest.test_case "tty output buffer" `Quick test_tty_output_collects;
+          Alcotest.test_case "device tick is one-shot" `Quick test_device_tick_one_shot;
+          Alcotest.test_case "device tick re-arms" `Quick test_device_tick_rearms;
+          Alcotest.test_case "device tick waits for the global clock" `Quick
+            test_device_tick_global_clock;
           Alcotest.test_case "trace ring wraps" `Quick test_trace_ring_wraps;
           Alcotest.test_case "operand ref counts" `Quick test_operand_refs;
         ] );

@@ -131,6 +131,53 @@ let test_overload_sheds_and_converges () =
   check_bool "some sessions were still served" true (Loadgen.completed lg > 0);
   check_bool "graph drained after the storm" true (Kserve.drained srv)
 
+(* A conn-id pool far smaller than the offered sessions: arrivals
+   that find it empty park until a session frees an id, rather than
+   re-polling.  Every session still runs exactly once, and the load
+   generator ticks a bounded number of times per request instead of
+   once per machine step. *)
+let test_conn_pool_exhaustion_parks () =
+  let boot = Boot.boot () in
+  let m = boot.Boot.kernel.Kernel.machine in
+  let sessions = 64 and reqs = 4 in
+  let ticks = ref 0 in
+  Machine.set_hooks m
+    (Some
+       {
+         Machine.h_post = (fun ~source:_ ~level:_ ~vector:_ -> ());
+         h_irq = (fun ~level:_ ~vector:_ -> ());
+         h_device = (fun name -> if name = "loadgen" then incr ticks);
+         h_fault = (fun _ -> ());
+       });
+  let srv = Kserve.create boot in
+  let lg =
+    Loadgen.create
+      ~config:
+        {
+          Loadgen.default_config with
+          lg_clients = sessions;
+          lg_reqs_per_session = reqs;
+          lg_conn_ids = 4;
+          lg_timeout_us = 20_000.0;
+        }
+      ~on_complete:(fun () -> Kserve.shutdown srv)
+      srv
+  in
+  (match Boot.go ~max_insns:40_000_000 boot with
+  | Machine.Halted -> ()
+  | Machine.Insn_limit -> Alcotest.fail "pool-exhaustion run did not converge");
+  check_bool "all sessions finished" true (Loadgen.finished lg);
+  check_int "every session completed" sessions (Loadgen.completed lg);
+  check_int "no duplicates" 0 (Loadgen.duplicates lg);
+  check_int "no protocol errors" 0 (Loadgen.errors lg);
+  check_int "nothing refused" 0 (Loadgen.refused lg);
+  check_int "nothing abandoned" 0 (Loadgen.abandoned lg);
+  check_int "no requests left in flight" 0 (Loadgen.in_flight lg);
+  let bound = 8 * sessions * (reqs + 2) in
+  check_bool
+    (Printf.sprintf "loadgen ticked %d times (bound %d)" !ticks bound)
+    true (!ticks <= bound)
+
 let test_host_accept_slot_discipline () =
   let boot = Boot.boot () in
   let srv = Kserve.create boot in
@@ -169,6 +216,8 @@ let () =
             test_warm_restart_hits_cache;
           Alcotest.test_case "overload sheds and converges" `Quick
             test_overload_sheds_and_converges;
+          Alcotest.test_case "conn-id pool exhaustion parks arrivals" `Quick
+            test_conn_pool_exhaustion_parks;
           Alcotest.test_case "host accept/close slot discipline" `Quick
             test_host_accept_slot_discipline;
         ] );
