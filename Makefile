@@ -71,6 +71,10 @@ FAULTSIM = $(DUNE) exec bin/synthesis_cli.exe -- faultsim --seed 1 --seeds $(FAU
 faultsim:
 	$(FAULTSIM) --subject all
 
+# The four Kqueue kinds as explorer subjects (queue/spsc .. queue/mpmc),
+# each with the determinism re-run and the sabotage leg (a phantom
+# consume the presence check must catch), then the timer-loss
+# recovery scenario.
 faultsim-queues:
 	$(FAULTSIM) --subject queues
 

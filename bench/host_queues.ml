@@ -1,8 +1,9 @@
-(* Host-level queue benchmarks: the optimistic queues of §3.2 running
+(* Host-level queue benchmarks: the optimistic ring of §3.2 running
    on real OCaml 5 domains — the multiprocessor the paper was designed
-   for.  Single-threaded costs via Bechamel (one Test.make per queue
-   flavour), plus a multi-domain throughput comparison of optimistic
-   vs locked synchronization. *)
+   for.  Single-threaded costs via Bechamel (one Test.make per
+   producer/consumer case of the ring, plus the mutex baseline), and a
+   multi-domain throughput comparison of optimistic vs locked
+   synchronization. *)
 
 open Bechamel
 open Toolkit
@@ -10,34 +11,22 @@ open Toolkit
 let test_queue_roundtrip name put get =
   Test.make ~name (Staged.stage (fun () -> put 42; ignore (get ())))
 
+let ring_case (name, producers, consumers) =
+  let q = Oq.Ring.create ~producers ~consumers 64 in
+  test_queue_roundtrip name
+    (fun v -> ignore (Oq.Ring.try_put q v))
+    (fun () -> Oq.Ring.try_get q)
+
 let tests () =
-  let spsc = Oq.Spsc.create 64 in
-  let mpsc = Oq.Mpsc.create 64 in
-  let spmc = Oq.Spmc.create 64 in
-  let mpmc = Oq.Mpmc.create 64 in
-  let ded = Oq.Dedicated.create 64 in
   let locked = Oq.Locked.create 64 in
   Test.make_grouped ~name:"queue put+get" ~fmt:"%s %s"
-    [
-      test_queue_roundtrip "dedicated"
-        (fun v -> ignore (Oq.Dedicated.try_put ded v))
-        (fun () -> Oq.Dedicated.try_get ded);
-      test_queue_roundtrip "spsc"
-        (fun v -> ignore (Oq.Spsc.try_put spsc v))
-        (fun () -> Oq.Spsc.try_get spsc);
-      test_queue_roundtrip "mpsc"
-        (fun v -> ignore (Oq.Mpsc.try_put mpsc v))
-        (fun () -> Oq.Mpsc.try_get mpsc);
-      test_queue_roundtrip "spmc"
-        (fun v -> ignore (Oq.Spmc.try_put spmc v))
-        (fun () -> Oq.Spmc.try_get spmc);
-      test_queue_roundtrip "mpmc"
-        (fun v -> ignore (Oq.Mpmc.try_put mpmc v))
-        (fun () -> Oq.Mpmc.try_get mpmc);
-      test_queue_roundtrip "locked (mutex baseline)"
-        (fun v -> ignore (Oq.Locked.try_put locked v))
-        (fun () -> Oq.Locked.try_get locked);
-    ]
+    (List.map ring_case
+       [ ("spsc", 1, 1); ("mpsc", 2, 1); ("spmc", 1, 2); ("mpmc", 2, 2) ]
+    @ [
+        test_queue_roundtrip "locked (mutex baseline)"
+          (fun v -> ignore (Oq.Locked.try_put locked v))
+          (fun () -> Oq.Locked.try_get locked);
+      ])
 
 let run_bechamel () =
   let ols =
@@ -57,8 +46,8 @@ let run_bechamel () =
       | _ -> Fmt.pr "%-36s %14s@." name "n/a")
     results
 
-(* Multi-domain throughput: N producers + 1 consumer, optimistic MP-SC
-   vs the mutex-protected queue. *)
+(* Multi-domain throughput: N producers + 1 consumer, the N-producer
+   ring vs the mutex-protected queue. *)
 let throughput ~producers ~per_producer ~put ~get =
   let t0 = Unix.gettimeofday () in
   let doms =
@@ -78,15 +67,15 @@ let throughput ~producers ~per_producer ~put ~get =
 
 let run_domains () =
   Repro_harness.Harness.header "Multi-domain throughput (Mops/s), optimistic vs locked";
-  Fmt.pr "%-12s %12s %12s@." "producers" "mpsc" "locked";
+  Fmt.pr "%-12s %12s %12s@." "producers" "ring" "locked";
   List.iter
     (fun producers ->
       let per = 200_000 in
-      let mpsc = Oq.Mpsc.create 1024 in
-      let m =
+      let ring = Oq.Ring.create ~producers ~consumers:1 1024 in
+      let r =
         throughput ~producers ~per_producer:per
-          ~put:(fun v -> Oq.Mpsc.put mpsc v)
-          ~get:(fun () -> Oq.Mpsc.get mpsc)
+          ~put:(fun v -> Oq.Ring.put ring v)
+          ~get:(fun () -> Oq.Ring.get ring)
       in
       let locked = Oq.Locked.create 1024 in
       let l =
@@ -94,7 +83,7 @@ let run_domains () =
           ~put:(fun v -> Oq.Locked.put locked v)
           ~get:(fun () -> Oq.Locked.get locked)
       in
-      Fmt.pr "%-12d %12.2f %12.2f@." producers m l)
+      Fmt.pr "%-12d %12.2f %12.2f@." producers r l)
     [ 1; 2; 3 ]
 
 let run () =

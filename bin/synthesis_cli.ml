@@ -139,7 +139,7 @@ let cmd_trace out =
     (Ktrace.dropped tr);
   if attributed <> traced then exit 1
 
-(* kfault: run the interleaving explorer across all four queue kinds
+(* kfault: run the interleaving explorer over the selected subjects
    for one seed (or a --seeds N sweep), plus the targeted recovery
    scenarios.  Exits non-zero on any invariant violation, so CI can
    gate on `make faultsim`. *)
@@ -176,38 +176,6 @@ let cmd_faultsim subject cores seed seeds verbose postmortem_dir =
       Option.iter (write (base ^ ".postmortem.txt")) r.E.s_postmortem;
       Option.iter (write (base ^ ".blackbox.json")) r.E.s_blackbox_json
   in
-  (* the four lock-free queue kinds, plus the timer-loss recovery *)
-  let run_queues () =
-    for s = first to last do
-      List.iter
-        (fun (r : E.result) ->
-          let ok = r.E.x_violations = [] in
-          if not ok then incr failures;
-          if verbose || not ok then
-            Fmt.pr
-              "seed %3d %-4s %dp/%dc: %d/%d consumed, stride %d, %d \
-               preemptions, %d faults -> %s@."
-              r.E.x_seed (E.kind_name r.E.x_kind) r.E.x_producers
-              r.E.x_consumers r.E.x_consumed
-              (r.E.x_producers * r.E.x_items)
-              r.E.x_stride r.E.x_preemptions r.E.x_injected
-              (if ok then "ok" else "FAIL");
-          List.iter (fun v -> Fmt.pr "    violation: %s@." v) r.E.x_violations)
-        (E.run_all ~seed:s ())
-    done;
-    Fmt.pr "faultsim[queues]: %d runs (seeds %d..%d x 4 kinds), %d failed@."
-      (4 * seeds) first last !failures;
-    let tl = E.timer_loss ~seed () in
-    Fmt.pr
-      "timer-loss: dropped completion at cycle %d, watchdog restarts %d, \
-       recovered in %d cycles (stall %d)@."
-      tl.E.tl_drop_cycle tl.E.tl_restarts tl.E.tl_recovery_cycles
-      tl.E.tl_stall_cycles;
-    if tl.E.tl_restarts < 1 || tl.E.tl_recovery_cycles <= 0 then begin
-      incr failures;
-      Fmt.pr "    FAIL: timer loss not recovered@."
-    end
-  in
   (* one pluggable subject: seed sweep, then a determinism re-run and
      a sabotage run that must be caught *)
   let run_subject_sweep sub =
@@ -243,6 +211,22 @@ let cmd_faultsim subject cores seed seeds verbose postmortem_dir =
       "faultsim[%s]: seeds %d..%d + determinism + sabotage, %d failed@." name
       first last
       (!failures - before)
+  in
+  (* the four lock-free queue kinds, plus the timer-loss recovery *)
+  let run_queues () =
+    List.iter
+      (fun kind -> run_subject_sweep (E.queue_subject kind))
+      Synthesis.Kqueue.[ Spsc; Mpsc; Spmc; Mpmc ];
+    let tl = E.timer_loss ~seed () in
+    Fmt.pr
+      "timer-loss: dropped completion at cycle %d, watchdog restarts %d, \
+       recovered in %d cycles (stall %d)@."
+      tl.E.tl_drop_cycle tl.E.tl_restarts tl.E.tl_recovery_cycles
+      tl.E.tl_stall_cycles;
+    if tl.E.tl_restarts < 1 || tl.E.tl_recovery_cycles <= 0 then begin
+      incr failures;
+      Fmt.pr "    FAIL: timer loss not recovered@."
+    end
   in
   (* kcrash: the crash-point explorer — per litmus family, a seed
      sweep with all mechanisms on (must pass), a determinism re-run,

@@ -120,15 +120,3 @@ let create_switch k ~name targets =
 let retarget k sw ~index ~target =
   if index < 0 || index >= sw.sw_size then invalid_arg "Quaject.retarget";
   Machine.poke k.Kernel.machine (sw.sw_table + index) target
-
-(* ---------------------------------------------------------------- *)
-(* Gauge: an event counter in kernel memory plus the one-instruction
-   fragment synthesized routines embed to tick it. *)
-
-type gauge = { g_cell : int }
-
-let create_gauge k =
-  { g_cell = Kalloc.alloc_zeroed k.Kernel.alloc 16 }
-
-let tick_fragment g = [ I.Alu_mem (I.Add, I.Imm 1, I.Abs g.g_cell) ]
-let gauge_count k g = Machine.peek k.Kernel.machine g.g_cell

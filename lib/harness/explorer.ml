@@ -237,21 +237,6 @@ let run_subject ?(faults = true) ?(sabotage = false) subject ~seed () =
 (* ---------------------------------------------------------------- *)
 (* Subject 1: the four lock-free Kqueue kinds *)
 
-type result = {
-  x_kind : Kqueue.kind;
-  x_seed : int;
-  x_producers : int;
-  x_consumers : int;
-  x_items : int; (* per producer *)
-  x_consumed : int;
-  x_stride : int; (* instructions between forced preemptions *)
-  x_preemptions : int; (* forced context switches posted *)
-  x_injected : int; (* faults delivered by the plan *)
-  x_violations : string list; (* empty = all invariants held *)
-  x_insns : int;
-  x_cycles : int;
-}
-
 let kind_name = function
   | Kqueue.Spsc -> "spsc"
   | Kqueue.Mpsc -> "mpsc"
@@ -369,8 +354,8 @@ let explorer_config () =
 (* Build the queue workload into an already-booted kernel: producers
    and consumers pinned round-robin across [cores] (all on core 0 for
    a uniprocessor boot), so on an SMP boot the queue code really is
-   entered from several cores at once.  Returns the progress and
-   final-check closures. *)
+   entered from several cores at once.  Returns the progress,
+   final-check and sabotage closures and the producer count. *)
 let queue_workload b ~items ~kind ~cores =
   let k = b.Boot.kernel in
   let m = k.Kernel.machine in
@@ -421,18 +406,17 @@ let queue_workload b ~items ~kind ~cores =
   (* a phantom consume: bump one consumer's count without a matching
      item — the presence check must notice *)
   let sabotage () = Machine.poke m counts (peek counts + 1) in
-  (consumed, final, sabotage, producers, consumers)
+  (consumed, final, sabotage, producers)
 
-let queue_instance ?(cores = 1) ~items ~kind () =
-  let b = observed_boot ~cores () in
-  let consumed, final, sabotage, producers, consumers =
-    queue_workload b ~items ~kind ~cores
-  in
-  let total = producers * items in
-  let inst =
+let queue_subject ?(cores = 1) ?(items = 32) kind =
+  let build ~seed:_ =
+    let b = observed_boot ~cores () in
+    let consumed, final, sabotage, producers =
+      queue_workload b ~items ~kind ~cores
+    in
     {
       i_boot = b;
-      i_goal = total;
+      i_goal = producers * items;
       i_budget = 6_000_000;
       i_fault_config = Some (explorer_config ());
       i_progress = consumed;
@@ -442,39 +426,7 @@ let queue_instance ?(cores = 1) ~items ~kind () =
       i_sabotage = Some sabotage;
     }
   in
-  (inst, producers, consumers)
-
-let queue_subject kind =
-  {
-    sub_name = "queue/" ^ kind_name kind;
-    sub_build = (fun ~seed:_ -> let inst, _, _ = queue_instance ~items:32 ~kind () in inst);
-  }
-
-let run_queue ?(items = 32) ?(faults = true) ?(cores = 1) ~kind ~seed () =
-  let inst, producers, consumers = queue_instance ~cores ~items ~kind () in
-  let r =
-    run_instance ~name:("queue/" ^ kind_name kind) ~seed ~faults
-      ~sabotage:false inst
-  in
-  {
-    x_kind = kind;
-    x_seed = seed;
-    x_producers = producers;
-    x_consumers = consumers;
-    x_items = items;
-    x_consumed = r.s_progress;
-    x_stride = r.s_stride;
-    x_preemptions = r.s_preemptions;
-    x_injected = r.s_injected;
-    x_violations = r.s_violations;
-    x_insns = r.s_insns;
-    x_cycles = r.s_cycles;
-  }
-
-let run_all ?(items = 32) ~seed () =
-  List.map
-    (fun kind -> run_queue ~items ~kind ~seed ())
-    [ Kqueue.Spsc; Kqueue.Mpsc; Kqueue.Spmc; Kqueue.Mpmc ]
+  { sub_name = "queue/" ^ kind_name kind; sub_build = build }
 
 (* ---------------------------------------------------------------- *)
 (* Subject 2: the executable ready queue under a thread-state storm *)
@@ -1353,7 +1305,7 @@ let smp_subject ?cores () =
     let k = b.Boot.kernel in
     let m = k.Kernel.machine in
     Machine.set_schedule_seed m seed;
-    let consumed, queue_final, _, producers, _ =
+    let consumed, queue_final, _, producers =
       queue_workload b ~items ~kind ~cores
     in
     (* one spinning filler per core: ready work for the stealers and a
@@ -1479,7 +1431,7 @@ let smp_subject ?cores () =
    refused, none abandoned.
 
    Sabotage arms a one-shot duplicate against the card's next tx frame
-   ([Machine.frame_fault]): the client sees the same response twice
+   ([Machine.device_fault]): the client sees the same response twice
    and the exactly-once ledger must catch the second copy. *)
 let serve_subject =
   let build ~seed =
@@ -1591,7 +1543,10 @@ let serve_subject =
       i_check = check;
       i_final = final;
       i_sabotage =
-        Some (fun () -> Machine.frame_fault m ~device:"nic" ~dir:1 ~kind:1);
+        Some
+          (fun () ->
+            Machine.device_fault m ~device:"nic"
+              (Machine.Frame_fault { dir = 1; kind = 1 }));
     }
   in
   { sub_name = "serve"; sub_build = build }

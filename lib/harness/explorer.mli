@@ -7,7 +7,7 @@
     invariants at every forced preemption and at the end of the run.
 
     Workloads are pluggable {!subject}s: the four lock-free
-    {!Synthesis.Kqueue} kinds (via {!run_queue}), the executable ready
+    {!Synthesis.Kqueue} kinds ({!queue_subject}), the executable ready
     queue under a thread stop/start/restart storm, a
     {!Synthesis.Kpipe} producer/consumer pair, and the disk elevator
     under completion faults.  Every run folds a deterministic trace
@@ -107,12 +107,12 @@ val serve_subject : subject
     generator's exactly-once ledger (no unmatched responses, no
     protocol errors, received ≤ sent), slot accounting closes, and
     every session ends served or refused.  Sabotage duplicates one tx
-    frame ({!Quamachine.Machine.frame_fault}); the ledger must catch
+    frame ({!Quamachine.Machine.device_fault}); the ledger must catch
     the second copy. *)
 
 val subjects : subject list
-(** The kernel subjects above (the queue workloads keep their
-    dedicated {!run_queue} entry point). *)
+(** The kernel subjects above (the four {!queue_subject}s are swept
+    separately). *)
 
 val run_subject :
   ?faults:bool -> ?sabotage:bool -> subject -> seed:int -> unit -> subject_result
@@ -124,43 +124,16 @@ val run_subject :
 
 (** {1 Queue workloads} *)
 
-type result = {
-  x_kind : Synthesis.Kqueue.kind;
-  x_seed : int;
-  x_producers : int;
-  x_consumers : int;
-  x_items : int;  (** per producer *)
-  x_consumed : int;
-  x_stride : int;  (** instructions between forced preemptions *)
-  x_preemptions : int;  (** forced context switches posted *)
-  x_injected : int;  (** faults delivered by the plan *)
-  x_violations : string list;  (** empty = all invariants held *)
-  x_insns : int;
-  x_cycles : int;
-}
-
 val kind_name : Synthesis.Kqueue.kind -> string
 
-val queue_subject : Synthesis.Kqueue.kind -> subject
-(** The queue workload as a subject (32 items per producer). *)
-
-val run_queue :
-  ?items:int ->
-  ?faults:bool ->
-  ?cores:int ->
-  kind:Synthesis.Kqueue.kind ->
-  seed:int ->
-  unit ->
-  result
+val queue_subject : ?cores:int -> ?items:int -> Synthesis.Kqueue.kind -> subject
 (** One boot, one queue of [kind], 1–3 producers × 1–3 consumers of
-    machine code, preemption forced every seed-derived stride.
-    [~faults:false] runs the pure interleaving sweep with no injected
-    faults.  [~cores] (default 1) boots an SMP kernel and pins the
-    participants round-robin across the cores, so the queue code is
-    entered from several cores at once. *)
-
-val run_all : ?items:int -> seed:int -> unit -> result list
-(** [run_queue] across all four kinds. *)
+    machine code putting [items] (default 32) each.  [~cores]
+    (default 1) boots an SMP kernel and pins the participants
+    round-robin across the cores, so the queue code is entered from
+    several cores at once.  Invariants: no loss, no duplicate, no
+    corrupt item, per-producer FIFO at every consumer.  Sabotage
+    counts one phantom consume; the presence check must catch it. *)
 
 (** {1 kcrash: the crash-point explorer} *)
 

@@ -250,7 +250,9 @@ module Disk = struct
        vanishes whole (torn_words < 0) or lands its first [torn_words]
        words — the prefix-torn sector model.  No completion interrupt
        is ever posted and the controller goes dead until power_on. *)
-    Machine.register_power_hook m ~device:"disk" (fun torn_words ->
+    Machine.register_fault_hook m ~device:"disk" (function
+      | Machine.Frame_fault _ -> ()
+      | Machine.Power_cut { torn_words } ->
         (match t.pending with
         | Some (`Write (blk, buf)) when torn_words >= 0 ->
           let n = min torn_words block_words in
@@ -275,7 +277,8 @@ module Disk = struct
   (* ---- kcrash: power and persistence --------------------------- *)
 
   let power_cut ?(torn_words = -1) t =
-    Machine.power_cut t.machine ~device:"disk" ~torn_words
+    Machine.device_fault t.machine ~device:"disk"
+      (Machine.Power_cut { torn_words })
 
   let power_on t =
     t.powered <- true;
@@ -404,7 +407,7 @@ end
 
    Faults: seeded loss/duplication/reorder knobs per direction
    ([set_chaos]) plus one-shot forced faults armed through
-   [Machine.frame_fault] (the Fault_inject [Frame_fault] action).
+   [Machine.device_fault] (the Fault_inject [Frame_fault] action).
    With every knob off the data path is exact: no loss, duplication,
    or reordering, whatever the interleaving. *)
 
@@ -415,7 +418,7 @@ module Nic = struct
   type frame = int array
 
   (* per-direction chaos state: an LCG plus 1-in-n knobs and the
-     one-shot faults forced by Machine.frame_fault *)
+     one-shot faults forced by Machine.device_fault *)
   type chaos = {
     mutable ch_seed : int;
     mutable ch_drop : int; (* 1-in-n; 0 = off *)
@@ -740,7 +743,9 @@ module Nic = struct
     wr Mmio_map.nic_rx_tail_cell (fun v -> t.rx_tail_cell <- v);
     wr Mmio_map.nic_tx_head_cell (fun v -> t.tx_head_cell <- v);
     (* one-shot frame faults (Fault_inject's Frame_fault action) *)
-    Machine.register_frame_hook m ~device:"nic" (fun ~dir ~kind ->
+    Machine.register_fault_hook m ~device:"nic" (function
+      | Machine.Power_cut _ -> ()
+      | Machine.Frame_fault { dir; kind } ->
         let ch = if dir = 0 then t.rx_chaos else t.tx_chaos in
         if kind >= 0 && kind <= 2 then
           ch.ch_forced <- ch.ch_forced @ [ kind ]);

@@ -110,7 +110,7 @@ end
     head/tail indices), per-completion interrupts with coalescing,
     admission control at the rx ring, and seeded per-direction
     loss/duplication/reorder knobs (plus one-shot faults through
-    {!Machine.frame_fault}).  Because the MMIO window is
+    {!Machine.device_fault}).  Because the MMIO window is
     supervisor-only, the card also writes the rx head back to a data
     cell after every delivery and polls the consumer/doorbell indices
     from data cells, so user-mode pumps drive it with plain loads and

@@ -295,12 +295,13 @@ let fire t m action =
     match Machine.find_device m device with
     | Some d when d.Machine.next_due <> max_int -> Machine.device_idle m d
     | _ -> ())
-  | Power_cut { device; torn_words } -> Machine.power_cut m ~device ~torn_words
+  | Power_cut { device; torn_words } ->
+    Machine.device_fault m ~device (Machine.Power_cut { torn_words })
   | Core_stall { cpu; stall_cycles } ->
     if cpu >= 0 && cpu < Machine.num_cores m then
       Machine.stall_core m ~cpu ~cycles:stall_cycles
   | Frame_fault { device; dir; kind } ->
-    Machine.frame_fault m ~device ~dir ~kind
+    Machine.device_fault m ~device (Machine.Frame_fault { dir; kind })
 
 let rec schedule t m dev =
   match t.fi_pending with

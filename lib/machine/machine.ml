@@ -37,6 +37,15 @@ type fault =
 
 exception Cpu_fault of fault
 
+(* A fault injected into a device model (kcrash, kserve).  [Power_cut]
+   carries the torn-word bound for an in-flight write (-1 = the
+   transfer is lost whole).  [Frame_fault] arms a one-shot fault
+   against the next frame in direction [dir] (0 = rx, 1 = tx); [kind]
+   is 0 = drop, 1 = duplicate, 2 = reorder. *)
+type device_fault =
+  | Power_cut of { torn_words : int }
+  | Frame_fault of { dir : int; kind : int }
+
 (* Raised when every core is stopped waiting for an interrupt and no
    device will ever deliver one. *)
 exception Deadlock
@@ -135,15 +144,9 @@ and t = {
   (* devices *)
   mutable devices : device list;
   mutable next_device_due : int;
-  (* power-cut hooks: device name -> cut handler.  The argument is the
-     torn-word count for an in-flight write (-1 = the transfer is lost
-     whole).  Registered by devices that model persistence (kcrash). *)
-  mutable power_hooks : (string * (int -> unit)) list;
-  (* frame-fault hooks: device name -> handler.  [dir] is 0 = rx,
-     1 = tx; [kind] is 0 = drop, 1 = duplicate, 2 = reorder.
-     Registered by devices that move frames (the NIC); the hook arms a
-     one-shot fault against the next frame in that direction. *)
-  mutable frame_hooks : (string * (dir:int -> kind:int -> unit)) list;
+  (* device-fault hooks: device name -> handler, registered by devices
+     that model a fault (see [device_fault]) *)
+  mutable fault_hooks : (string * (device_fault -> unit)) list;
   (* memory-mapped I/O: address -> handlers *)
   mmio_read : (int, unit -> int) Hashtbl.t;
   mmio_write : (int, int -> unit) Hashtbl.t;
@@ -219,8 +222,7 @@ let create ?(mem_words = 1 lsl 20) ?(cores = 1) cost =
     double_fault = false;
     devices = [];
     next_device_due = max_int;
-    power_hooks = [];
-    frame_hooks = [];
+    fault_hooks = [];
     mmio_read = Hashtbl.create 16;
     mmio_write = Hashtbl.create 16;
     maps = Hashtbl.create 16;
@@ -481,29 +483,14 @@ let remove_device t d =
   t.devices <- List.filter (fun d' -> d' != d) t.devices;
   recompute_device_due t
 
-let register_power_hook t ~device f =
-  t.power_hooks <-
-    (device, f) :: List.remove_assoc device t.power_hooks
+let register_fault_hook t ~device f =
+  t.fault_hooks <- (device, f) :: List.remove_assoc device t.fault_hooks
 
-(* Cut power to [device] at the current cycle.  [torn_words] bounds
-   how much of an in-flight write reaches the platter: -1 loses the
-   transfer whole, [k >= 0] lands exactly the first [k] words (the
-   prefix-torn write model).  Unknown devices ignore the cut. *)
-let power_cut t ~device ~torn_words =
-  match List.assoc_opt device t.power_hooks with
-  | Some f -> f torn_words
-  | None -> ()
-
-let register_frame_hook t ~device f =
-  t.frame_hooks <- (device, f) :: List.remove_assoc device t.frame_hooks
-
-(* Arm a one-shot frame fault against [device]'s next frame in
-   direction [dir] (0 = rx, 1 = tx): [kind] 0 drops it, 1 duplicates
-   it, 2 reorders it past its successor.  Unknown devices ignore the
-   fault (same contract as [power_cut]). *)
-let frame_fault t ~device ~dir ~kind =
-  match List.assoc_opt device t.frame_hooks with
-  | Some f -> f ~dir ~kind
+(* Deliver [fault] to [device]'s hook at the current cycle.  Devices
+   with no hook, and hooks that do not model the fault, ignore it. *)
+let device_fault t ~device fault =
+  match List.assoc_opt device t.fault_hooks with
+  | Some f -> f fault
   | None -> ()
 
 let post_interrupt ?(source = "") ?cpu t ~level ~vector =

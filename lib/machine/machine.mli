@@ -26,6 +26,17 @@ type fault =
 
 exception Cpu_fault of fault
 
+(** A fault injected into a device model; see {!device_fault}. *)
+type device_fault =
+  | Power_cut of { torn_words : int }
+      (** kcrash: cut power now.  [torn_words] bounds how much of an
+          in-flight write lands: -1 loses the transfer whole,
+          [k >= 0] lands exactly its first [k] words. *)
+  | Frame_fault of { dir : int; kind : int }
+      (** kserve: arm a one-shot fault against the next frame moved in
+          direction [dir] (0 = rx, 1 = tx); [kind] is 0 = drop,
+          1 = duplicate, 2 = reorder. *)
+
 (** Every core is stopped waiting for an interrupt no device will ever
     deliver. *)
 exception Deadlock
@@ -221,32 +232,16 @@ val remove_device : t -> device -> unit
 val post_interrupt :
   ?source:string -> ?cpu:int -> t -> level:int -> vector:int -> unit
 
-(** {1 Power cuts (kcrash)}
+(** {1 Device faults}
 
-    Devices that model persistence register a cut handler; the
-    argument is the torn-word bound for an in-flight write (-1 = the
-    transfer is lost whole, [k >= 0] = exactly the first [k] words
-    land). *)
+    Devices that model a fault (the disk's power cut, the NIC's frame
+    faults) register one handler under their name. *)
 
-val register_power_hook : t -> device:string -> (int -> unit) -> unit
+val register_fault_hook : t -> device:string -> (device_fault -> unit) -> unit
 
-(** Cut power to the named device at the current cycle; cuts to
-    devices with no registered handler are ignored. *)
-val power_cut : t -> device:string -> torn_words:int -> unit
-
-(** {1 Frame faults (kserve)}
-
-    Devices that move frames (the NIC) register a handler; [dir] is
-    0 = rx, 1 = tx and [kind] is 0 = drop, 1 = duplicate, 2 = reorder.
-    The handler arms a one-shot fault against the next frame moved in
-    that direction. *)
-
-val register_frame_hook :
-  t -> device:string -> (dir:int -> kind:int -> unit) -> unit
-
-(** Arm a one-shot frame fault; faults to devices with no registered
-    handler are ignored (same contract as [power_cut]). *)
-val frame_fault : t -> device:string -> dir:int -> kind:int -> unit
+(** Deliver a fault to the named device at the current cycle; devices
+    with no registered handler ignore it. *)
+val device_fault : t -> device:string -> device_fault -> unit
 
 (** {1 Observability hooks} *)
 

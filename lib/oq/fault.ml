@@ -1,6 +1,6 @@
 (* kfault seam for the host-level optimistic queues.
 
-   Every CAS in this library's claim/retry loops goes through [cas]
+   Every ticket claim at a shared end of a [Ring] goes through [cas]
    below.  Disarmed (the default) it is [Atomic.compare_and_set] plus
    one atomic load — the queues behave exactly as before.  Armed, every
    [every]-th call site-wide is vetoed: it returns [false] without

@@ -1,12 +1,12 @@
 (** kfault seam for the host-level optimistic queues.
 
-    All CAS operations in [Mpsc]/[Spmc]/[Mpmc] route through {!cas}.
-    Disarmed (the default) it is [Atomic.compare_and_set] plus one
-    atomic load.  Armed with [arm ~seed ~every], every [every]-th call
-    library-wide is vetoed — it returns [false] without attempting the
-    exchange, indistinguishable from losing the race to another
-    thread — so the retry loops get exercised even in single-threaded
-    runs.  On a single domain the veto sequence is a pure function of
+    Every ticket claim at a shared end of a {!Ring} routes through
+    {!cas}.  Disarmed (the default) it is [Atomic.compare_and_set]
+    plus one atomic load.  Armed with [arm ~seed ~every], every
+    [every]-th call library-wide is vetoed — it returns [false]
+    without attempting the exchange, indistinguishable from losing the
+    race to another thread — so the retry loops get exercised even in
+    single-threaded runs.  On a single domain the veto sequence is a pure function of
     (seed, every, call order); arm/disarm around each stress run. *)
 
 val arm : seed:int -> every:int -> unit

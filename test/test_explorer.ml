@@ -255,10 +255,12 @@ let test_elevator_direction_flip () =
 
 let test_stride_paced_per_core () =
   let r =
-    E.run_queue ~items:8 ~faults:false ~cores:3 ~kind:Kqueue.Mpsc ~seed:4494 ()
+    E.run_subject ~faults:false
+      (E.queue_subject ~items:8 ~cores:3 Kqueue.Mpsc)
+      ~seed:4494 ()
   in
-  Alcotest.(check (list string)) "no stall" [] r.E.x_violations;
-  check_int "all items consumed" (r.E.x_producers * r.E.x_items) r.E.x_consumed
+  Alcotest.(check (list string)) "no stall" [] r.E.s_violations;
+  check_int "all items consumed" r.E.s_goal r.E.s_progress
 
 (* ------------------------------------------------------------------ *)
 (* Thread.restart: rebuild the creation-time context and re-queue *)

@@ -1,67 +1,12 @@
-(* kperf: gauge rate-window edge cases, the Quamachine PMU (counter
-   windows, interrupt counting, pc-sample weights), profiler owner
-   attribution, and the PMU's zero-simulated-cost guarantee. *)
+(* kperf: the Quamachine PMU (counter windows, interrupt counting,
+   pc-sample weights), profiler owner attribution, and the PMU's
+   zero-simulated-cost guarantee. *)
 
 open Quamachine
 open Synthesis
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
-let check_rate = Alcotest.(check (float 1e-9))
-
-(* ------------------------------------------------------------------ *)
-(* Gauge rate windows *)
-
-let test_gauge_empty_window () =
-  let g = Oq.Gauge.create () in
-  (* a window with no events is a zero rate, not a stale one *)
-  check_rate "empty window rate" 0.0 (Oq.Gauge.sample_rate g ~now:1.0);
-  check_rate "last_rate agrees" 0.0 (Oq.Gauge.last_rate g)
-
-let test_gauge_zero_length_window () =
-  let g = Oq.Gauge.create () in
-  for _ = 1 to 10 do
-    Oq.Gauge.tick g
-  done;
-  let r1 = Oq.Gauge.sample_rate g ~now:2.0 in
-  check_rate "10 events over 2 units" 5.0 r1;
-  (* sampling again at the same instant: dt = 0, no division — the
-     previous window's rate is reported instead *)
-  check_rate "zero-length window repeats last rate" r1
-    (Oq.Gauge.sample_rate g ~now:2.0);
-  (* ... and the gauge keeps measuring cleanly afterwards *)
-  Oq.Gauge.tick g;
-  check_rate "next real window counts from the stall" 1.0
-    (Oq.Gauge.sample_rate g ~now:3.0)
-
-let test_gauge_clock_wraps_backwards () =
-  let g = Oq.Gauge.create () in
-  Oq.Gauge.add g 8;
-  let r1 = Oq.Gauge.sample_rate g ~now:4.0 in
-  check_rate "8 events over 4 units" 2.0 r1;
-  (* a clock running backwards (wrap-around) must not produce a
-     negative rate; last_rate is reported and the window re-anchors *)
-  Oq.Gauge.add g 100;
-  check_rate "backwards clock repeats last rate" r1
-    (Oq.Gauge.sample_rate g ~now:1.0);
-  (* the bad stamp re-anchored the window, so only post-anchor events
-     count in the next one *)
-  Oq.Gauge.add g 10;
-  check_rate "window re-anchored at the bad stamp" 5.0
-    (Oq.Gauge.sample_rate g ~now:3.0)
-
-let test_gauge_reset () =
-  let g = Oq.Gauge.create () in
-  Oq.Gauge.add g 42;
-  ignore (Oq.Gauge.sample_rate g ~now:1.0);
-  Oq.Gauge.reset g;
-  check_int "count cleared" 0 (Oq.Gauge.count g);
-  check_rate "last_rate cleared" 0.0 (Oq.Gauge.last_rate g);
-  (* the window base count was also cleared, so the next sample sees
-     only post-reset events — not a negative delta *)
-  Oq.Gauge.tick g;
-  check_rate "post-reset window counts from zero" 1.0
-    (Oq.Gauge.sample_rate g ~now:2.0)
 
 (* ------------------------------------------------------------------ *)
 (* PMU counter windows *)
@@ -231,15 +176,6 @@ let test_pmu_is_free () =
 let () =
   Alcotest.run "kperf"
     [
-      ( "gauge",
-        [
-          Alcotest.test_case "empty window" `Quick test_gauge_empty_window;
-          Alcotest.test_case "zero-length window" `Quick
-            test_gauge_zero_length_window;
-          Alcotest.test_case "clock wraps backwards" `Quick
-            test_gauge_clock_wraps_backwards;
-          Alcotest.test_case "reset" `Quick test_gauge_reset;
-        ] );
       ( "pmu",
         [
           Alcotest.test_case "window counts" `Quick test_pmu_window_counts;

@@ -153,29 +153,15 @@ let test_scheduler_history () =
 (* ------------------------------------------------------------------ *)
 (* Host building blocks: edges *)
 
-let test_gauge_reset_and_add () =
-  let g = Oq.Gauge.create () in
-  Oq.Gauge.add g 10;
-  Oq.Gauge.tick g;
-  check_int "count" 11 (Oq.Gauge.count g);
-  Oq.Gauge.reset g;
-  check_int "reset" 0 (Oq.Gauge.count g)
-
-let test_pump_stop_empty () =
-  (* stopping a pump that never saw data terminates cleanly *)
-  let pump = Oq.Pump.start ~source:(fun () -> None) ~sink:(fun (_ : int) -> ()) () in
-  Oq.Pump.stop pump;
-  check_int "nothing copied" 0 (Oq.Pump.copied pump)
-
 let test_queue_capacity_edges () =
-  Alcotest.check_raises "spsc too small"
-    (Invalid_argument "Spsc.create: size must be >= 2") (fun () ->
-      ignore (Oq.Spsc.create 1));
-  let q = Oq.Mpsc.create 4 in
-  check_int "capacity = size - 1" 3 (Oq.Mpsc.capacity q);
+  Alcotest.check_raises "ring too small"
+    (Invalid_argument "Ring.create: size must be >= 2") (fun () ->
+      ignore (Oq.Ring.create 1));
+  let q = Oq.Ring.create ~producers:2 4 in
+  check_int "capacity = size" 4 (Oq.Ring.capacity q);
   Alcotest.check_raises "burst larger than capacity"
-    (Invalid_argument "Mpsc.try_put_many") (fun () ->
-      ignore (Oq.Mpsc.try_put_many q (fun i -> i) 4))
+    (Invalid_argument "Ring.try_put_many") (fun () ->
+      ignore (Oq.Ring.try_put_many q (fun i -> i) 5))
 
 (* ------------------------------------------------------------------ *)
 (* Cost model coherence *)
@@ -212,8 +198,6 @@ let () =
         [ Alcotest.test_case "epoch history" `Quick test_scheduler_history ] );
       ( "blocks",
         [
-          Alcotest.test_case "gauge reset/add" `Quick test_gauge_reset_and_add;
-          Alcotest.test_case "pump stop when idle" `Quick test_pump_stop_empty;
           Alcotest.test_case "queue capacity edges" `Quick test_queue_capacity_edges;
         ] );
       ( "cost",

@@ -293,7 +293,7 @@ let test_admission () =
   check_int "the rest shed at the ring" 7 st.Nic.s_rx_shed;
   check_int "never overran" 0 st.Nic.s_rx_overruns
 
-(* A forced one-shot frame fault (Machine.frame_fault, the hook
+(* A forced one-shot frame fault (Machine.device_fault, the hook
    Fault_inject's Frame_fault action fires) beats the seeded knobs. *)
 let test_forced_frame_fault () =
   let boot = Boot.boot () in
@@ -312,7 +312,8 @@ let test_forced_frame_fault () =
   Nic.host_config_rx nic ~ring ~len:ring_len ~mail:0 ~tail_cell:0;
   Nic.host_enable nic true;
   (* arm a drop against the next rx frame, then inject two *)
-  Machine.frame_fault m ~device:"nic" ~dir:0 ~kind:0;
+  Machine.device_fault m ~device:"nic"
+    (Machine.Frame_fault { dir = 0; kind = 0 });
   let stop_cell = Kalloc.alloc_zeroed alloc 1 in
   spin_threads k ~cores:1 ~stop_cell;
   let step = ref 0 in

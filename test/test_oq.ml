@@ -5,105 +5,87 @@ let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
 (* ------------------------------------------------------------------ *)
-(* Sequential FIFO semantics shared by all queue flavours *)
+(* Sequential FIFO semantics: one ring, the four §5.2 cases *)
 
-let test_spsc_fifo () =
-  let q = Oq.Spsc.create 8 in
-  check_bool "initially empty" true (Oq.Spsc.is_empty q);
-  for i = 1 to 7 do
-    check_bool "put" true (Oq.Spsc.try_put q i)
-  done;
-  check_bool "full rejects" false (Oq.Spsc.try_put q 99);
-  check_bool "is_full" true (Oq.Spsc.is_full q);
-  for i = 1 to 7 do
-    check_int "fifo order" i (match Oq.Spsc.try_get q with Some v -> v | None -> -1)
-  done;
-  check_bool "drained" true (Oq.Spsc.try_get q = None)
+let spsc = ("spsc", 1, 1)
+and mpsc = ("mpsc", 3, 1)
+and spmc = ("spmc", 1, 3)
+and mpmc = ("mpmc", 3, 3)
 
-let test_mpsc_fifo () =
-  let q = Oq.Mpsc.create 8 in
-  for i = 1 to 7 do
-    check_bool "put" true (Oq.Mpsc.try_put q i)
-  done;
-  check_bool "full rejects" false (Oq.Mpsc.try_put q 99);
-  for i = 1 to 7 do
-    check_int "fifo order" i (match Oq.Mpsc.try_get q with Some v -> v | None -> -1)
-  done;
-  check_bool "drained" true (Oq.Mpsc.try_get q = None)
+let cases = [ spsc; mpsc; spmc; mpmc ]
 
-let test_mpsc_multi_insert () =
+let ring (_, producers, consumers) n = Oq.Ring.create ~producers ~consumers n
+let get_exn q = match Oq.Ring.try_get q with Some v -> v | None -> -1
+
+(* [create 8] holds exactly 8 items in every case. *)
+let test_fifo case () =
+  let q = ring case 8 in
+  check_bool "initially empty" true (Oq.Ring.is_empty q);
+  for i = 1 to 8 do
+    check_bool "put" true (Oq.Ring.try_put q i)
+  done;
+  check_bool "full rejects" false (Oq.Ring.try_put q 99);
+  check_int "length" 8 (Oq.Ring.length q);
+  for i = 1 to 8 do
+    check_int "fifo order" i (get_exn q)
+  done;
+  check_bool "drained" true (Oq.Ring.try_get q = None)
+
+let test_multi_insert () =
   (* Figure 2: atomic insert of several items. *)
-  let q = Oq.Mpsc.create 16 in
+  let q = ring mpsc 16 in
   let items = [| 10; 20; 30; 40; 50 |] in
-  check_bool "burst accepted" true (Oq.Mpsc.try_put_many q (fun i -> items.(i)) 5);
+  check_bool "burst accepted" true (Oq.Ring.try_put_many q (fun i -> items.(i)) 5);
   check_bool "too-large burst rejected" false
-    (Oq.Mpsc.try_put_many q (fun i -> i) 11);
-  (* 15 capacity - 5 used = 10 free; a 10-item burst fits *)
-  check_bool "exact-fit burst" true (Oq.Mpsc.try_put_many q (fun i -> 100 + i) 10);
-  check_bool "now full" false (Oq.Mpsc.try_put q 1);
-  Array.iter
-    (fun expect ->
-      check_int "burst order" expect
-        (match Oq.Mpsc.try_get q with Some v -> v | None -> -1))
-    items
+    (Oq.Ring.try_put_many q (fun i -> i) 12);
+  (* 16 capacity - 5 used = 11 free; an 11-item burst fits *)
+  check_bool "exact-fit burst" true (Oq.Ring.try_put_many q (fun i -> 100 + i) 11);
+  check_bool "now full" false (Oq.Ring.try_put q 1);
+  Array.iter (fun expect -> check_int "burst order" expect (get_exn q)) items
 
-let test_spmc_fifo () =
-  let q = Oq.Spmc.create 8 in
-  for i = 1 to 7 do
-    check_bool "put" true (Oq.Spmc.try_put q i)
-  done;
-  check_bool "full rejects" false (Oq.Spmc.try_put q 99);
-  for i = 1 to 7 do
-    check_int "fifo order" i (match Oq.Spmc.try_get q with Some v -> v | None -> -1)
-  done
-
-let test_mpmc_fifo () =
-  let q = Oq.Mpmc.create 8 in
-  for i = 1 to 8 do
-    check_bool "put" true (Oq.Mpmc.try_put q i)
-  done;
-  check_bool "full rejects" false (Oq.Mpmc.try_put q 99);
-  for i = 1 to 8 do
-    check_int "fifo order" i (match Oq.Mpmc.try_get q with Some v -> v | None -> -1)
-  done
-
-let test_dedicated_wrap () =
-  let q = Oq.Dedicated.create 4 in
-  (* push/pop repeatedly across the wrap boundary *)
-  for round = 0 to 20 do
-    check_bool "put a" true (Oq.Dedicated.try_put q (round * 2));
-    check_bool "put b" true (Oq.Dedicated.try_put q ((round * 2) + 1));
-    check_int "get a" (round * 2)
-      (match Oq.Dedicated.try_get q with Some v -> v | None -> -1);
-    check_int "get b" ((round * 2) + 1)
-      (match Oq.Dedicated.try_get q with Some v -> v | None -> -1)
-  done
+let test_wrap () =
+  (* push/pop repeatedly across the wrap boundary, in every case *)
+  List.iter
+    (fun case ->
+      let q = ring case 4 in
+      for round = 0 to 20 do
+        check_bool "put a" true (Oq.Ring.try_put q (round * 2));
+        check_bool "put b" true (Oq.Ring.try_put q ((round * 2) + 1));
+        check_bool "burst" true (Oq.Ring.try_put_many q (fun i -> i) 2);
+        check_int "get a" (round * 2) (get_exn q);
+        check_int "get b" ((round * 2) + 1) (get_exn q);
+        check_int "burst 0" 0 (get_exn q);
+        check_int "burst 1" 1 (get_exn q)
+      done)
+    cases
 
 (* ------------------------------------------------------------------ *)
-(* Property: any interleaving of puts and gets behaves like a FIFO *)
+(* Property: any interleaving of puts, bursts and gets behaves like a
+   bounded FIFO of exactly the ring's capacity *)
 
-module type QUEUE = sig
-  type 'a t
+let capacity = 16
 
-  val create : int -> 'a t
-  val try_put : 'a t -> 'a -> bool
-  val try_get : 'a t -> 'a option
-end
-
-let fifo_model_agreement (module Q : QUEUE) ops =
-  let q = Q.create 16 in
+let fifo_model_agreement case ops =
+  let q = ring case capacity in
   let model = Queue.create () in
   List.for_all
     (fun op ->
       match op with
       | `Put v ->
-        let accepted = Q.try_put q v in
-        let model_would = Queue.length model < 15 in
+        let fits = Queue.length model < capacity in
+        let accepted = Oq.Ring.try_put q v in
         if accepted then Queue.push v model;
-        (* MPMC has capacity 16, others 15; allow either boundary *)
-        accepted = model_would || (accepted && Queue.length model <= 16)
+        accepted = fits
+      | `Put_many (v, n) ->
+        let fits = Queue.length model + n <= capacity in
+        let accepted = Oq.Ring.try_put_many q (fun i -> v + i) n in
+        if accepted then
+          for i = 0 to n - 1 do
+            Queue.push (v + i) model
+          done;
+        accepted = fits
       | `Get -> (
-        match (Q.try_get q, Queue.is_empty model) with
+        match (Oq.Ring.try_get q, Queue.is_empty model) with
         | None, true -> true
         | Some v, false -> v = Queue.pop model
         | Some _, true -> false
@@ -113,28 +95,26 @@ let fifo_model_agreement (module Q : QUEUE) ops =
 let ops_gen =
   QCheck.Gen.(
     list_size (int_bound 200)
-      (frequency [ (3, map (fun v -> `Put v) (int_bound 1000)); (2, return `Get) ]))
+      (frequency
+         [
+           (3, map (fun v -> `Put v) (int_bound 1000));
+           (1, map2 (fun v n -> `Put_many (v, n)) (int_bound 1000) (int_range 1 4));
+           (3, return `Get);
+         ]))
 
 let arb_ops =
   QCheck.make ops_gen ~print:(fun ops ->
       String.concat ";"
-        (List.map (function `Put v -> Printf.sprintf "put %d" v | `Get -> "get") ops))
+        (List.map
+           (function
+             | `Put v -> Printf.sprintf "put %d" v
+             | `Put_many (v, n) -> Printf.sprintf "put_many %d x%d" v n
+             | `Get -> "get")
+           ops))
 
-let prop_spsc_fifo =
-  QCheck.Test.make ~name:"spsc behaves like a FIFO" ~count:300 arb_ops (fun ops ->
-      fifo_model_agreement (module Oq.Spsc) ops)
-
-let prop_mpsc_fifo =
-  QCheck.Test.make ~name:"mpsc behaves like a FIFO" ~count:300 arb_ops (fun ops ->
-      fifo_model_agreement (module Oq.Mpsc) ops)
-
-let prop_spmc_fifo =
-  QCheck.Test.make ~name:"spmc behaves like a FIFO" ~count:300 arb_ops (fun ops ->
-      fifo_model_agreement (module Oq.Spmc) ops)
-
-let prop_dedicated_fifo =
-  QCheck.Test.make ~name:"dedicated behaves like a FIFO" ~count:300 arb_ops (fun ops ->
-      fifo_model_agreement (module Oq.Dedicated) ops)
+let prop_fifo ((name, _, _) as case) =
+  QCheck.Test.make ~name:(name ^ " behaves like a FIFO") ~count:300 arb_ops
+    (fun ops -> fifo_model_agreement case ops)
 
 (* ------------------------------------------------------------------ *)
 (* Multi-domain stress: no losses, no duplicates, per-producer order *)
@@ -142,12 +122,12 @@ let prop_dedicated_fifo =
 let sum_to n = n * (n + 1) / 2
 
 let test_spsc_domains () =
-  let q = Oq.Spsc.create 64 in
+  let q = ring spsc 64 in
   let n = 50_000 in
-  let producer = Domain.spawn (fun () -> for i = 1 to n do Oq.Spsc.put q i done) in
+  let producer = Domain.spawn (fun () -> for i = 1 to n do Oq.Ring.put q i done) in
   let total = ref 0 and last = ref 0 and ok = ref true in
   for _ = 1 to n do
-    let v = Oq.Spsc.get q in
+    let v = Oq.Ring.get q in
     if v <= !last then ok := false;
     last := v;
     total := !total + v
@@ -157,37 +137,37 @@ let test_spsc_domains () =
   check_int "no items lost" (sum_to n) !total
 
 let test_mpsc_domains () =
-  let q = Oq.Mpsc.create 64 in
   let producers = 4 and per = 20_000 in
+  let q = Oq.Ring.create ~producers ~consumers:1 64 in
   let doms =
     List.init producers (fun p ->
         Domain.spawn (fun () ->
             for i = 1 to per do
-              Oq.Mpsc.put q ((p * per) + i)
+              Oq.Ring.put q ((p * per) + i)
             done))
   in
   let seen = Hashtbl.create 1024 in
   let total = producers * per in
   for _ = 1 to total do
-    let v = Oq.Mpsc.get q in
+    let v = Oq.Ring.get q in
     if Hashtbl.mem seen v then Alcotest.failf "duplicate %d" v;
     Hashtbl.replace seen v ()
   done;
   List.iter Domain.join doms;
   check_int "all items arrived exactly once" total (Hashtbl.length seen);
-  check_bool "queue drained" true (Oq.Mpsc.try_get q = None)
+  check_bool "queue drained" true (Oq.Ring.try_get q = None)
 
 let test_mpsc_multi_insert_domains () =
   (* Concurrent burst inserts stay contiguous (atomic insert). *)
-  let q = Oq.Mpsc.create 128 in
   let producers = 4 and bursts = 3_000 and burst_len = 5 in
+  let q = Oq.Ring.create ~producers ~consumers:1 128 in
   let doms =
     List.init producers (fun p ->
         Domain.spawn (fun () ->
             for b = 0 to bursts - 1 do
               let base = (((p * bursts) + b) * burst_len) + 1 in
               let rec try_again () =
-                if not (Oq.Mpsc.try_put_many q (fun i -> base + i) burst_len) then begin
+                if not (Oq.Ring.try_put_many q (fun i -> base + i) burst_len) then begin
                   Domain.cpu_relax ();
                   try_again ()
                 end
@@ -198,7 +178,7 @@ let test_mpsc_multi_insert_domains () =
   let total = producers * bursts * burst_len in
   let got = Array.make total 0 in
   for i = 0 to total - 1 do
-    got.(i) <- Oq.Mpsc.get q
+    got.(i) <- Oq.Ring.get q
   done;
   List.iter Domain.join doms;
   (* every burst of 5 must appear contiguously *)
@@ -213,17 +193,17 @@ let test_mpsc_multi_insert_domains () =
   done;
   check_bool "bursts are atomic (contiguous)" true !contiguous
 
-let test_spmc_domains () =
-  let q = Oq.Spmc.create 64 in
-  let consumers = 3 and total = 60_000 in
+(* [consumers] domains drain until [total] items were taken; returns
+   the sum each consumer saw. *)
+let drain q ~consumers ~total =
   let consumed = Atomic.make 0 in
   let sums = Array.make consumers 0 in
-  let cons_doms =
+  let doms =
     List.init consumers (fun c ->
         Domain.spawn (fun () ->
             let continue = ref true in
             while !continue do
-              match Oq.Spmc.try_get q with
+              match Oq.Ring.try_get q with
               | Some v ->
                 sums.(c) <- sums.(c) + v;
                 ignore (Atomic.fetch_and_add consumed 1)
@@ -232,75 +212,34 @@ let test_spmc_domains () =
                 else Domain.cpu_relax ()
             done))
   in
+  fun () ->
+    List.iter Domain.join doms;
+    Array.fold_left ( + ) 0 sums
+
+let test_spmc_domains () =
+  let consumers = 3 and total = 60_000 in
+  let q = Oq.Ring.create ~producers:1 ~consumers 64 in
+  let join = drain q ~consumers ~total in
   for i = 1 to total do
-    Oq.Spmc.put q i
+    Oq.Ring.put q i
   done;
-  List.iter Domain.join cons_doms;
-  check_int "sum preserved across consumers" (sum_to total)
-    (Array.fold_left ( + ) 0 sums)
+  check_int "sum preserved across consumers" (sum_to total) (join ())
 
 let test_mpmc_domains () =
-  let q = Oq.Mpmc.create 64 in
   let producers = 3 and consumers = 3 and per = 20_000 in
-  let total = producers * per in
-  let consumed = Atomic.make 0 in
-  let sums = Array.make consumers 0 in
+  (* No counts given: both ends shared, the safe default. *)
+  let q = Oq.Ring.create 64 in
   let prod_doms =
     List.init producers (fun p ->
         Domain.spawn (fun () ->
             for i = 1 to per do
-              Oq.Mpmc.put q ((p * per) + i)
+              Oq.Ring.put q ((p * per) + i)
             done))
   in
-  let cons_doms =
-    List.init consumers (fun c ->
-        Domain.spawn (fun () ->
-            let continue = ref true in
-            while !continue do
-              match Oq.Mpmc.try_get q with
-              | Some v ->
-                sums.(c) <- sums.(c) + v;
-                ignore (Atomic.fetch_and_add consumed 1)
-              | None -> if Atomic.get consumed >= total then continue := false else Domain.cpu_relax ()
-            done))
-  in
+  let join = drain q ~consumers ~total:(producers * per) in
   List.iter Domain.join prod_doms;
-  List.iter Domain.join cons_doms;
-  let expect = producers * sum_to per |> fun base ->
-    base + (per * per * (0 + 1 + 2)) in
-  check_int "sum preserved across domains" expect (Array.fold_left ( + ) 0 sums)
-
-(* ------------------------------------------------------------------ *)
-(* Pump and gauge building blocks *)
-
-let test_pump_copies () =
-  let src = Oq.Spsc.create 64 and dst = Oq.Spsc.create 64 in
-  let n = 10_000 in
-  let pump =
-    Oq.Pump.start
-      ~source:(fun () -> Oq.Spsc.try_get src)
-      ~sink:(fun v -> Oq.Spsc.put dst v)
-      ()
-  in
-  let feeder = Domain.spawn (fun () -> for i = 1 to n do Oq.Spsc.put src i done) in
-  let total = ref 0 in
-  for _ = 1 to n do
-    total := !total + Oq.Spsc.get dst
-  done;
-  Domain.join feeder;
-  Oq.Pump.stop pump;
-  check_int "pump moved everything" (sum_to n) !total;
-  check_int "pump counted" n (Oq.Pump.copied pump)
-
-let test_gauge_rate () =
-  let g = Oq.Gauge.create () in
-  ignore (Oq.Gauge.sample_rate g ~now:0.0);
-  for _ = 1 to 500 do
-    Oq.Gauge.tick g
-  done;
-  let rate = Oq.Gauge.sample_rate g ~now:2.0 in
-  check_bool "rate = 250/unit" true (abs_float (rate -. 250.0) < 1e-6);
-  check_int "count" 500 (Oq.Gauge.count g)
+  let expect = (producers * sum_to per) + (per * per * (0 + 1 + 2)) in
+  check_int "sum preserved across domains" expect (join ())
 
 let qcheck = List.map QCheck_alcotest.to_alcotest
 
@@ -308,16 +247,18 @@ let () =
   Alcotest.run "oq"
     [
       ( "sequential",
+        let fifo ((name, _, _) as case) =
+          Alcotest.test_case (name ^ " fifo") `Quick (test_fifo case)
+        in
         [
-          Alcotest.test_case "spsc fifo" `Quick test_spsc_fifo;
-          Alcotest.test_case "mpsc fifo" `Quick test_mpsc_fifo;
-          Alcotest.test_case "mpsc multi-insert" `Quick test_mpsc_multi_insert;
-          Alcotest.test_case "spmc fifo" `Quick test_spmc_fifo;
-          Alcotest.test_case "mpmc fifo" `Quick test_mpmc_fifo;
-          Alcotest.test_case "dedicated wrap" `Quick test_dedicated_wrap;
+          fifo spsc;
+          fifo mpsc;
+          Alcotest.test_case "mpsc multi-insert" `Quick test_multi_insert;
+          fifo spmc;
+          fifo mpmc;
+          Alcotest.test_case "every case wraps" `Quick test_wrap;
         ] );
-      ( "properties",
-        qcheck [ prop_spsc_fifo; prop_mpsc_fifo; prop_spmc_fifo; prop_dedicated_fifo ] );
+      ("properties", qcheck (List.map prop_fifo cases));
       ( "domains",
         [
           Alcotest.test_case "spsc cross-domain" `Slow test_spsc_domains;
@@ -325,10 +266,5 @@ let () =
           Alcotest.test_case "mpsc atomic bursts" `Slow test_mpsc_multi_insert_domains;
           Alcotest.test_case "spmc 3 consumers" `Slow test_spmc_domains;
           Alcotest.test_case "mpmc 3x3" `Slow test_mpmc_domains;
-        ] );
-      ( "blocks",
-        [
-          Alcotest.test_case "pump copies" `Slow test_pump_copies;
-          Alcotest.test_case "gauge rates" `Quick test_gauge_rate;
         ] );
     ]
